@@ -40,7 +40,7 @@ The package mirrors the paper's pipeline:
 - :mod:`repro.search` — the approximate search tier: quantized trajectory
   sketches, voting candidate generation and budgeted exact rerank behind
   ``knn(..., search_budget=)`` (see ``docs/SEARCH.md``).
-- :mod:`repro.serving` — sharded scatter-gather indexes, copy-on-write
+- :mod:`repro.serving` — sharded indexes with one exact scan, copy-on-write
   snapshots with live swaps, a thread-pool query service with admission
   control and deadlines, a crash-safe streaming ingest service,
   multi-process shard workers over the mmap store behind an asyncio

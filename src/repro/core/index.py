@@ -36,8 +36,9 @@ from repro.observability import OBS
 
 #: Guards lazy sketch construction.  Module-level (not per-index) so a
 #: frozen, deep-copied serving snapshot stays ``copy.deepcopy``-able —
-#: an index never owns an uncopyable lock object.
-_SKETCH_BUILD_LOCK = threading.Lock()
+#: an index never owns an uncopyable lock object.  Reentrant: a sharded
+#: index holds it while sketching each of its shards.
+_SKETCH_BUILD_LOCK = threading.RLock()
 
 
 @dataclass
@@ -92,10 +93,6 @@ class STRGIndex:
         self.cluster_distance = cluster_distance or EGED()
         self.root: list[RootRecord] = []
         self._next_root_id = 0
-        #: Bumped on every structural change (build/insert/delete/split).
-        #: Readers that cache derived structures (e.g. the serving layer's
-        #: pivot bounds) compare this to detect staleness.
-        self.mutations = 0
         #: Set by :meth:`freeze`; frozen indexes reject mutation, which is
         #: what lets published serving snapshots be shared across threads.
         self.frozen = False
@@ -150,7 +147,6 @@ class STRGIndex:
                 f"{len(ogs)} OGs but {len(clip_refs)} clip refs"
             )
         self._check_mutable()
-        self.mutations += 1
         with OBS.span("index.build", ogs=len(ogs)):
             return self._build(ogs, background, clip_refs)
 
@@ -269,7 +265,6 @@ class STRGIndex:
         cluster whose centroid is nearest under the metric distance.
         """
         self._check_mutable()
-        self.mutations += 1
         with OBS.span("index.insert"):
             if not self.root:
                 self.build([og], background, [clip_ref])
@@ -403,7 +398,6 @@ class STRGIndex:
         deleting".  Returns ``True`` when the OG was found.
         """
         self._check_mutable()
-        self.mutations += 1
         for root_record in list(self.root):
             cluster_node = root_record.cluster_node
             for record in list(cluster_node.records):
@@ -481,14 +475,16 @@ class STRGIndex:
         return approx_knn(self.sketch_tier(), self.metric_distance,
                           query, k, search_budget)
 
-    def sketch_tier(self):
+    def sketch_tier(self, fleet=None):
         """The :class:`~repro.search.sketch.SketchIndex` for this corpus.
 
         Built lazily on first use (one batched pivot sweep over every
         leaf record) and maintained incrementally afterwards.  Safe on a
         frozen index: attaching the sketch is not a structural mutation,
         and the module-level build lock keeps concurrent readers of a
-        shared serving snapshot from building it twice.
+        shared serving snapshot from building it twice.  A ``fleet``
+        sketch supplies the pivots and bbox instead of fitting new ones
+        (the shards of a ``ShardedIndex`` share one fleet).
 
         An index restored from a columnar snapshot gets its sketch
         re-attached from the store's ``sketch_*`` columns instead
@@ -512,13 +508,17 @@ class STRGIndex:
                     for cluster_record in root_record.cluster_node
                     for leaf_record in cluster_record.leaf
                 ]
+                ogs = [og for og, _ in records]
+                refs = [ref for _, ref in records]
                 with OBS.span("search.sketch_build", ogs=len(records)):
-                    self._sketches = SketchIndex.build(
-                        self.metric_distance,
-                        [og for og, _ in records],
-                        [ref for _, ref in records],
-                        self.sketch_config,
-                    )
+                    if fleet is None:
+                        self._sketches = SketchIndex.build(
+                            self.metric_distance, ogs, refs,
+                            self.sketch_config)
+                    else:
+                        sketch = fleet.sharing_fleet()
+                        sketch.add(self.metric_distance, ogs, refs)
+                        self._sketches = sketch
             return self._sketches
 
     def _knn(self, query: ObjectGraph | np.ndarray, k: int,
@@ -679,9 +679,8 @@ class STRGIndex:
 
         With a ``background``, the records of the best-matching root are
         returned (all records when nothing matches) — the same routing
-        :meth:`knn` applies.  The serving layer's sharded scatter-gather
-        iterates this list directly so it can share one global bound
-        across shards.
+        :meth:`knn` applies.  The serving layer's sharded scan masks its
+        sketch rows to these records' members.
         """
         if background is not None:
             matched = self._match_root(background)

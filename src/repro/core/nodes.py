@@ -43,8 +43,14 @@ class LeafNode:
         self._keys: list[float] = []
 
     def insert(self, record: LeafRecord) -> None:
-        """Insert keeping key order (binary search)."""
-        pos = bisect.bisect_left(self._keys, record.key)
+        """Insert keeping key order (binary search).
+
+        Stable: a record lands *after* records with an equal key, so a
+        snapshot reload (which inserts rows in stored order) rebuilds
+        the same leaf order — and so mints og_ids in row order even
+        for duplicate series.
+        """
+        pos = bisect.bisect_right(self._keys, record.key)
         self._keys.insert(pos, record.key)
         self._records.insert(pos, record)
 

@@ -58,7 +58,12 @@ def pivot_lower_bounds(query_pd: np.ndarray,
         corpus_pd = corpus_pd.reshape(len(corpus_pd), -1)
     if corpus_pd.shape[1] == 0:
         return np.zeros(corpus_pd.shape[0], dtype=np.float64)
-    return np.abs(corpus_pd - query_pd.reshape(1, -1)).max(axis=1)
+    # Column by column: a max over a short last axis is about 10x
+    # slower in NumPy than P full-length elementwise maxima.
+    lbs = np.abs(corpus_pd[:, 0] - query_pd[0])
+    for p in range(1, corpus_pd.shape[1]):
+        np.maximum(lbs, np.abs(corpus_pd[:, p] - query_pd[p]), out=lbs)
+    return lbs
 
 
 class NormIndex:

@@ -41,7 +41,7 @@ INJECTION_POINTS = (
     "storage.write",    # after the temp file is written, before rename
     "storage.read",     # before a persisted file is opened
     "storage.append",   # before a delta segment's manifest commit
-    "serving.shard",    # before a shard is scanned during scatter-gather
+    "serving.shard",    # before a shard is scanned by a sharded query
     "ingest.accept",    # per job, during IngestService.submit admission
     "ingest.process",   # per job attempt, before the clip pipeline runs
     "ingest.commit",    # per job, before OGs stream into the live index

@@ -1,12 +1,13 @@
 """Compact per-OG sketches and the two-stage approximate k-NN search.
 
-The exact search paths (``STRGIndex.knn``, the sharded scatter-gather)
-pay at least one full EGED_M dynamic program per *surviving* candidate —
-fine at thousands of OGs, hopeless at the hundreds of thousands the
-ROADMAP north-star demands.  This module trades a bounded amount of
-recall for a hard cap on exact distance evaluations, following the
-paper's own cost model (Section 6.3 charges queries per distance
-computation):
+The tree's exact search (``STRGIndex.knn``) pays at least one full
+EGED_M dynamic program per *surviving* candidate — fine at thousands of
+OGs, hopeless at hundreds of thousands.  This module trades a bounded
+amount of recall for a hard cap on exact distance evaluations, following
+the paper's own cost model (Section 6.3 charges queries per distance
+computation).  With no cap, the same sketches are the sharded exact
+engine: every row is a candidate and the bound-ordered rerank stops at
+the first bound beyond the k-th distance (``ShardedIndex.knn``).
 
 **Stage 1 — candidate generation.**  Every indexed OG carries a
 *sketch*: its metric distance to a small set of pivot series (chosen by
@@ -20,11 +21,12 @@ matching signature codes, in the spirit of the temporal-voting video
 search of PAPERS.md) rescues near-misses whose pivot geometry is
 uninformative.  The top-C union of both channels becomes the shortlist.
 
-**Stage 2 — exact rerank.**  Shortlisted candidates are evaluated with
-the batched EGED_M kernel in ascending lower-bound order; a candidate
-whose stored bound exceeds the current k-th best distance is pruned
-without touching the kernel (the bound is exact, so pruning never costs
-recall — only the shortlist cut can).
+**Stage 2 — exact rerank** (:func:`repro.search.rerank.pruned_rerank`).
+Shortlisted candidates are evaluated with the batched EGED_M kernel in
+ascending lower-bound order; a candidate whose stored bound exceeds the
+current k-th best distance is pruned without touching the kernel (the
+bound is exact, so pruning never costs recall — only the shortlist cut
+can).
 
 The *total* number of exact distance evaluations per query — the pivot
 distances plus the rerank — never exceeds ``search_budget``.
@@ -73,11 +75,7 @@ from repro.distance.bounds import gap_mass, pivot_lower_bounds
 from repro.errors import InvalidParameterError
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
-
-#: Relative slack for rerank pruning comparisons, absorbing the batched
-#: kernel's ~1e-12 float asymmetry (same role as ShardedIndexConfig's
-#: ``prune_slack``).  Raising it never loses true neighbors.
-PRUNE_SLACK = 1e-9
+from repro.search.rerank import count_search, exact_top, pruned_rerank
 
 #: Tombstones before an owned sketch is worth compacting (and the dead
 #: fraction that triggers it — mirrors the columnar merge policy).
@@ -166,8 +164,7 @@ class _EagerRows:
 
     The classic mode: :meth:`SketchIndex.build` and archive loads that
     already materialized every OG use it.  Series are *not* stored —
-    ``series_at`` returns the OG's own float64 values view, so the old
-    duplicate ``series`` list is gone.
+    the rerank reads each OG's own float64 values.
     """
 
     def __init__(self, records: list[tuple[ObjectGraph, Any]] | None = None):
@@ -183,9 +180,6 @@ class _EagerRows:
 
     def record(self, row: int) -> tuple[ObjectGraph, Any]:
         return self.records[row]
-
-    def series_at(self, row: int) -> np.ndarray:
-        return as_series(self.records[row][0])
 
     def compact(self, keep: np.ndarray) -> None:
         self.records = [self.records[int(i)] for i in keep]
@@ -228,11 +222,6 @@ class LazyRows:
             self._cache.popitem(last=False)
         return pair
 
-    def series_at(self, row: int) -> np.ndarray:
-        # The OG's values ARE the zero-copy series slice the reader cut
-        # out of the mmap'd og_values column.
-        return self.record(row)[0].values
-
     def compact(self, keep: np.ndarray) -> None:
         raise InvalidParameterError(
             "store-attached sketch rows cannot be compacted in place; "
@@ -241,32 +230,6 @@ class LazyRows:
 
 
 # -- blocked-scan primitives ------------------------------------------------
-
-
-def _exact_top(m: int, keys: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Indices of the exact top-``m`` rows under lexicographic ``keys``.
-
-    ``keys`` are aligned 1-D arrays, most-significant first.  An
-    ``argpartition`` on the primary key prunes to at most ``m`` rows
-    plus the primary-key ties at the boundary; the full compound sort
-    then runs only on that superset.  Because every caller ends its key
-    tuple with a unique og_id, the compound order is total — so the
-    selected set (and its order) is exactly the first ``m`` entries of
-    a global lexsort, which is what makes the blocked scan bit-identical
-    to the monolithic path.
-    """
-    if m <= 0:
-        return np.empty(0, dtype=np.intp)
-    lex = tuple(reversed(keys))
-    n = len(keys[0])
-    if n <= m:
-        return np.lexsort(lex)
-    primary = keys[0]
-    part = np.argpartition(primary, m - 1)[:m]
-    boundary = primary[part].max()
-    cand = np.flatnonzero(primary <= boundary)
-    order = np.lexsort(tuple(key[cand] for key in lex))
-    return cand[order[:m]]
 
 
 def _merge_top(m: int, acc: tuple[np.ndarray, ...] | None,
@@ -279,7 +242,7 @@ def _merge_top(m: int, acc: tuple[np.ndarray, ...] | None,
     if acc is None:
         return new
     cat = tuple(np.concatenate([a, b]) for a, b in zip(acc, new))
-    sel = _exact_top(m, cat[:-1])
+    sel = exact_top(m, cat[:-1])
     return tuple(a[sel] for a in cat)
 
 
@@ -300,11 +263,11 @@ def _block_winners(rows: np.ndarray, ids: np.ndarray, pd: np.ndarray,
         lbs = np.zeros(len(rows), dtype=np.float64)
     bound = vote = None
     if m_bound:
-        sel = _exact_top(m_bound, (lbs, ids))
+        sel = exact_top(m_bound, (lbs, ids))
         bound = (lbs[sel], ids[sel], rows[sel])
     if m_vote:
         neg_votes = -((sig == qsig).sum(axis=1).astype(np.int64))
-        sel = _exact_top(m_vote, (neg_votes, lbs, ids))
+        sel = exact_top(m_vote, (neg_votes, lbs, ids))
         vote = (neg_votes[sel], lbs[sel], ids[sel], rows[sel])
     return bound, vote, lbs
 
@@ -353,6 +316,32 @@ def _scan_ranges(payload: dict, start: int, ranges: list) -> list:
             if v is not None:
                 vote = _merge_top(m_vote, vote, v)
         out.append((bound, vote))
+    return out
+
+
+def _resample_many(a: np.ndarray, length: int) -> np.ndarray:
+    """:func:`~repro.distance.base.resample_series` over a ``(g, n, d)``
+    stack of equal-length series, bit-identical per series.
+
+    Reproduces ``np.interp``'s arithmetic: bracket ``j`` with
+    ``src[j] <= x < src[j + 1]``, the node value itself on an exact hit
+    (including the right end), else ``slope * (x - src[j]) + a[j]``.
+    """
+    n = a.shape[1]
+    if n == length:
+        return a
+    if n == 1:
+        return np.repeat(a, length, axis=1)
+    src = np.linspace(0.0, 1.0, n)
+    dst = np.linspace(0.0, 1.0, length)
+    j = np.minimum(np.searchsorted(src, dst, side="right") - 1, n - 2)
+    at, nxt = a[:, j], a[:, j + 1]
+    slope = (nxt - at) / (src[j + 1] - src[j])[None, :, None]
+    out = slope * (dst - src[j])[None, :, None] + at
+    hit = src[j] == dst
+    out[:, hit] = at[:, hit]
+    end = dst == src[-1]
+    out[:, end] = a[:, -1:]
     return out
 
 
@@ -445,11 +434,30 @@ class SketchIndex:
               clip_refs: Sequence[Any] | None = None,
               config: SketchConfig | None = None) -> "SketchIndex":
         """Fit pivots + bbox on ``ogs`` and sketch every one of them."""
-        sketch = cls(config)
         ogs = list(ogs)
         series = [as_series(og) for og in ogs]
-        sketch._fit(distance, series)
+        sketch = cls.fit(distance, series, config)
         sketch.add(distance, ogs, clip_refs, _series=series)
+        return sketch
+
+    @classmethod
+    def fit(cls, distance, series: list[np.ndarray],
+            config: SketchConfig | None = None) -> "SketchIndex":
+        """An empty sketch with pivots and bbox fitted on ``series``."""
+        sketch = cls(config)
+        sketch._fit(distance, series)
+        return sketch
+
+    def sharing_fleet(self) -> "SketchIndex":
+        """An empty sketch sharing this one's pivot list and bbox.
+
+        Sketches that share a fleet (the shards of one
+        ``ShardedIndex``) hold the *same* pivot list object, so an exact
+        scan pays the query-to-pivot evaluations once per fleet.
+        """
+        sketch = SketchIndex(self.config)
+        sketch.pivots = self.pivots
+        sketch.bbox = self.bbox
         return sketch
 
     def _fit(self, distance, series: list[np.ndarray]) -> None:
@@ -655,10 +663,6 @@ class SketchIndex:
         """``(og, clip_ref)`` of a raw row (lazily materialized)."""
         return self._rows.record(int(row))
 
-    def row_series(self, row: int) -> np.ndarray:
-        """Normalized series of a raw row for the rerank kernel."""
-        return self._rows.series_at(int(row))
-
     # -- signatures --------------------------------------------------------
 
     def _planar(self, series: np.ndarray) -> np.ndarray:
@@ -700,9 +704,39 @@ class SketchIndex:
         return (cell * cfg.heading_sectors + sector).astype(np.int16)
 
     def _signatures(self, series: list[np.ndarray]) -> np.ndarray:
+        """:meth:`signature` of many series, bit-identical row by row.
+
+        Series of one length share one resampling bracket, so each
+        length group interpolates in one vectorized pass (the same
+        arithmetic ``np.interp`` does per column), and the whole batch
+        is quantized at once.
+        """
+        cfg = self.config
         if not series:
-            return np.empty((0, self.config.sig_length), dtype=np.int16)
-        return np.stack([self.signature(s) for s in series])
+            return np.empty((0, cfg.sig_length), dtype=np.int16)
+        lo, hi = self.bbox if self.bbox is not None else (
+            np.zeros(2), np.ones(2)
+        )
+        planar = [self._planar(np.asarray(s, dtype=np.float64).reshape(
+            len(s), -1)) for s in series]
+        groups: dict[int, list[int]] = {}
+        for i, p in enumerate(planar):
+            groups.setdefault(len(p), []).append(i)
+        pts = np.empty((len(series), cfg.sig_length, 2), dtype=np.float64)
+        for n, members in groups.items():
+            pts[members] = _resample_many(
+                np.stack([planar[i] for i in members]), cfg.sig_length)
+        frac = (pts - lo) / (hi - lo)
+        cells = np.clip((frac * cfg.grid).astype(np.int64), 0, cfg.grid - 1)
+        cell = cells[..., 0] * cfg.grid + cells[..., 1]
+        deltas = np.diff(pts, axis=1, prepend=pts[:, :1])
+        angles = np.arctan2(deltas[..., 1], deltas[..., 0])
+        sector = np.clip(
+            ((angles + math.pi) / (2.0 * math.pi)
+             * cfg.heading_sectors).astype(np.int64),
+            0, cfg.heading_sectors - 1,
+        )
+        return (cell * cfg.heading_sectors + sector).astype(np.int16)
 
     # -- stage 1: candidate generation -------------------------------------
 
@@ -761,7 +795,7 @@ class SketchIndex:
               if pivot_evals else None)
         shortlist = max(k, budget - pivot_evals)
         if shortlist >= n:
-            rows, lbs = self._scan_full(qd)
+            rows, lbs = self.lower_bounds(qd)
             return rows, lbs, pivot_evals
         # Channel 1 (primary): smallest triangle lower bound — the
         # candidates that *can* be nearest.  Channel 2: most matching
@@ -795,9 +829,14 @@ class SketchIndex:
         order = np.argsort(rows)
         return rows[order], lbs[order], pivot_evals
 
-    def _scan_full(self, qd: np.ndarray | None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Degenerate shortlist >= n: every live row, with its bound."""
+    def lower_bounds(self, qd: np.ndarray | None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, lbs)``: every live raw row with its triangle bound.
+
+        ``qd`` holds the query's distances to :attr:`pivots`.  This is
+        the whole candidate set of an exact scan (and of a budget that
+        covers the corpus).
+        """
         rows_parts: list[np.ndarray] = []
         lbs_parts: list[np.ndarray] = []
         for rows, _, pd, _ in self._iter_blocks():
@@ -903,77 +942,19 @@ def approx_knn(sketch: SketchIndex, distance,
             f"search_budget must be >= 1, got {search_budget}"
         )
     series = as_series(query)
-    n = len(sketch)
     with OBS.span("search.approx_knn", k=k, budget=search_budget) as sp:
         OBS.count("search.knn_queries")
         idx, lbs, pivot_evals = sketch.candidates(
             distance, series, search_budget, k, scan_workers=scan_workers
         )
-        OBS.count("search.candidates_generated", len(idx))
-        # Rerank in ascending (lower bound, og_id) order: the most
-        # promising candidates seed the k-th best distance early, and
-        # the sorted bounds make the prune a single prefix cut.
-        order = np.lexsort((sketch.row_og_ids(idx), lbs))
-        idx = idx[order]
-        lbs = lbs[order]
-
-        best: list[tuple[float, ObjectGraph, Any]] = []
-
-        def kth() -> tuple[float, float]:
-            if len(best) == k:
-                return (best[-1][0], best[-1][1].og_id)
-            return (float("inf"), float("inf"))
-
-        evaluated = 0
-        pruned = 0
-        start = 0
-        batch = sketch.config.rerank_batch
-        while start < len(idx):
-            bound = kth()[0]
-            slack = (0.0 if math.isinf(bound)
-                     else PRUNE_SLACK * (1.0 + abs(bound)))
-            if lbs[start] > bound + slack:
-                # Sorted ascending: every remaining candidate is
-                # provably outside the current top-k.
-                pruned = len(idx) - start
-                break
-            stop = min(len(idx), start + batch)
-            while stop > start and lbs[stop - 1] > bound + slack:
-                stop -= 1
-            chunk = idx[start:stop]
-            items = [sketch.row_series(int(i)) for i in chunk]
-            if executor is not None:
-                dists = executor.one_vs_many(distance, series, items)
-            else:
-                dists = one_vs_many(distance, series, items)
-            evaluated += len(chunk)
-            for i, d in zip(chunk, dists):
-                d = float(d)
-                og, ref = sketch.row_record(int(i))
-                if (d, og.og_id) < kth():
-                    _insort(best, (d, og, ref))
-                    if len(best) > k:
-                        best.pop()
-            start = stop
-        OBS.count("search.distances_computed", evaluated + pivot_evals)
-        OBS.count("search.candidates_pruned", pruned)
-        OBS.count("search.distances_saved",
-                  max(0, n - evaluated - pivot_evals))
-        sp.set(hits=len(best), evaluated=evaluated, pruned=pruned)
+        best, evaluated = pruned_rerank(
+            distance, series, lbs, sketch.row_og_ids(idx),
+            lambda i: sketch.row_record(int(idx[i])), k=k,
+            executor=executor, batch=sketch.config.rerank_batch)
+        count_search(len(sketch), len(idx), evaluated, pivot_evals)
+        sp.set(hits=len(best), evaluated=evaluated,
+               pruned=len(idx) - evaluated)
         return best
-
-
-def _insort(best: list, entry: tuple) -> None:
-    """Insert ``entry`` into ``best`` ordered by ``(distance, og_id)``."""
-    key = (entry[0], entry[1].og_id)
-    lo, hi = 0, len(best)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (best[mid][0], best[mid][1].og_id) < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    best.insert(lo, entry)
 
 
 def sketch_meta_json(sketch: SketchIndex) -> str:

@@ -3,9 +3,9 @@
 Layers, bottom up:
 
 - :mod:`repro.serving.sharding` — :class:`ShardedIndex` partitions the
-  corpus across N :class:`~repro.core.index.STRGIndex` shards and runs
-  exact scatter-gather k-NN / range queries whose results are
-  bit-identical to a monolithic index.
+  corpus across N :class:`~repro.core.index.STRGIndex` shards and answers
+  exact k-NN / range queries with one bound-ordered scan over a shared
+  pivot fleet, bit-identical to a monolithic index.
 - :mod:`repro.serving.snapshot` — :class:`IndexSnapshot` /
   :class:`LiveIndex` give copy-on-write ingestion: readers query an
   immutable published snapshot while writes buffer and compact into the

@@ -2,29 +2,28 @@
 
 The monolithic :class:`~repro.core.index.STRGIndex` answers one query at
 a time against one tree.  The serving layer partitions the corpus across
-N shards — each its own ``STRGIndex`` — and answers queries by
-scatter-gather with **one global bound shared across shards**, so a
-sharded search never evaluates more candidates than a monolithic scan:
+N shards — each its own ``STRGIndex`` — and answers every query with
+**one bound-ordered scan over one shared pivot fleet**:
 
 - **Placement.**  ``"affine"`` (default) runs a coarse EM clustering and
-  assigns each OG to the shard whose *pivot* (coarse centroid) is
-  nearest, with a balance cap so no shard degenerates into the whole
-  corpus.  ``"hash"`` places by ``og_id % num_shards`` — uniform, but
-  with no locality to prune on.
-- **Granularity.**  Every shard gets the same per-shard
-  :class:`~repro.core.index.STRGIndexConfig`, so the fleet's total
-  cluster count — and with it the tightness of every leaf window —
-  grows with the shard count.
-- **Pivot filters.**  Affine shards precompute each record's metric
-  distance to *every* shard pivot.  At query time a single batched
-  sweep against the pivots turns those stored keys into triangle
-  lower bounds: the more shards, the more reference points, the more
-  candidates are discarded before the kernel ever sees them.
-- **Batched scans.**  Cluster ranking is one batched kernel invocation
-  across *all* shards (pivots included), and candidate windows are
-  accumulated across clusters and evaluated in large flushes — the
-  per-invocation overhead that dominates scalar scans is paid a handful
-  of times per query, not once per leaf.
+  assigns each OG to the shard whose *placement pivot* (coarse
+  centroid) is nearest, with a balance cap so no shard degenerates into
+  the whole corpus.  ``"hash"`` places by ``og_id % num_shards`` —
+  uniform, but with no locality.
+- **One pivot fleet.**  At build time one set of farthest-point pivots
+  (the :class:`~repro.search.sketch.SketchConfig` defaults) is fitted on
+  a corpus sample, and every shard's sketch
+  (:meth:`STRGIndex.sketch_tier`) keys its rows against that same
+  fleet.  Sketches are built eagerly, persisted with the shards and
+  maintained by inserts and deletes.
+- **Exact scan.**  A query pays P query-to-pivot evaluations once per
+  distinct fleet, turns every live row's stored pivot distances into a
+  triangle lower bound, and hands all rows of all shards to the one
+  rerank kernel (:func:`repro.search.rerank.pruned_rerank`), which
+  evaluates them in ``(lower bound, og_id)`` order and stops at the
+  first bound beyond the k-th distance.  Range queries use the same
+  scan with the radius as the bound; ``background`` routing is a row
+  mask.
 
 Search is **exact**: every prune is justified by a metric lower bound
 (with a tiny relative slack absorbing the batched kernels' float
@@ -37,17 +36,15 @@ from __future__ import annotations
 
 import copy
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.clustering.em import EMClustering, EMConfig
-from repro.core.index import STRGIndex, STRGIndexConfig
-from repro.core.nodes import ClusterRecord, LeafRecord
+from repro.core.index import _SKETCH_BUILD_LOCK, STRGIndex, STRGIndexConfig
 from repro.distance.base import Distance, as_series
-from repro.distance.batch import one_vs_many, supports_batch
+from repro.distance.batch import one_vs_many
 from repro.errors import (
     IndexStateError,
     InvalidParameterError,
@@ -57,6 +54,8 @@ from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.resilience.faults import maybe_fail
+from repro.search.rerank import count_search, pruned_rerank
+from repro.search.sketch import SketchIndex
 
 #: Supported placement strategies.
 PLACEMENTS = ("affine", "hash")
@@ -70,12 +69,7 @@ class ShardedIndexConfig:
     shards, so total cluster granularity scales with ``num_shards``).
     ``balance_factor`` caps a shard at ``balance_factor * M / num_shards``
     members during affine placement; overflow spills to the next-nearest
-    pivot.  ``eval_batch`` is the candidate-flush size of the scatter
-    scan: larger flushes amortize kernel-call overhead, smaller ones
-    tighten the pruning bound more often.  ``prune_slack`` is the
-    relative slack added to every pruning comparison to absorb the
-    batched kernels' float asymmetry — raising it never makes results
-    wrong, only scans slightly larger.
+    pivot.
     """
 
     num_shards: int = 4
@@ -85,8 +79,6 @@ class ShardedIndexConfig:
     coarse_iterations: int = 10
     balance_factor: float = 1.3
     seed: int = 0
-    eval_batch: int = 32
-    prune_slack: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -106,14 +98,23 @@ class ShardedIndexConfig:
             raise InvalidParameterError(
                 f"balance_factor must be >= 1.0, got {self.balance_factor}"
             )
-        if self.eval_batch < 1:
-            raise InvalidParameterError(
-                f"eval_batch must be >= 1, got {self.eval_batch}"
-            )
-        if self.prune_slack < 0.0:
-            raise InvalidParameterError(
-                f"prune_slack must be >= 0, got {self.prune_slack}"
-            )
+
+    def to_dict(self) -> dict[str, Any]:
+        """The persisted settings (``index`` is stored with each shard)."""
+        return {f.name: getattr(self, f.name)
+                for f in fields(self) if f.name != "index"}
+
+    @classmethod
+    def from_dict(cls, params: dict[str, Any],
+                  index: STRGIndexConfig) -> "ShardedIndexConfig":
+        """Inverse of :meth:`to_dict`.
+
+        Keys that are not fields are ignored: stores written before the
+        exact scan carry the retired ``eval_batch`` and ``prune_slack``.
+        """
+        names = {f.name for f in fields(cls)} - {"index"}
+        return cls(index=index,
+                   **{k: v for k, v in params.items() if k in names})
 
 
 @dataclass
@@ -132,46 +133,8 @@ class ShardedSearchResult:
     failed_shards: list[int] = field(default_factory=list)
 
 
-class _ClusterCache:
-    """Immutable per-cluster scan cache.
-
-    Everything the scatter scan needs without touching the OGs again:
-    normalized member series, their sorted keys, and — under affine
-    placement — the triangle-bound ingredients against every shard
-    pivot (``centroid_pd[p] = d(pivot_p, centroid)`` and
-    ``member_pd[i, p] = d(pivot_p, member_i)``).
-    """
-
-    __slots__ = ("centroid_series", "member_series", "keys", "max_key",
-                 "centroid_pd", "member_pd")
-
-    def __init__(self, centroid_series, member_series, keys, max_key,
-                 centroid_pd, member_pd):
-        self.centroid_series = centroid_series
-        self.member_series = member_series
-        self.keys = keys
-        self.max_key = max_key
-        self.centroid_pd = centroid_pd
-        self.member_pd = member_pd
-
-
-class _ShardBounds:
-    """Scan caches for one shard, keyed by cluster-record identity.
-
-    Valid only while the shard's mutation counter is unchanged; stale
-    caches are rebuilt lazily on the next search (searches stay exact
-    throughout — a rebuild changes cost, never results).
-    """
-
-    __slots__ = ("mutations", "by_record")
-
-    def __init__(self, mutations: int, by_record: dict[int, _ClusterCache]):
-        self.mutations = mutations
-        self.by_record = by_record
-
-
 class ShardedIndex:
-    """N ``STRGIndex`` shards behind one exact scatter-gather search."""
+    """N ``STRGIndex`` shards behind one exact bound-ordered scan."""
 
     def __init__(self, config: ShardedIndexConfig | None = None,
                  metric_distance: Distance | Callable | None = None,
@@ -190,11 +153,33 @@ class ShardedIndex:
         #: placement or before the first build.
         self.pivots: list[np.ndarray] | None = None
         #: Optional :class:`~repro.parallel.DistanceExecutor` for fanning
-        #: large candidate flushes out across worker processes.
+        #: rerank chunks out across worker processes.
         self.executor = executor
         self.frozen = False
-        self._bounds: tuple[_ShardBounds | None, ...] | None = None
-        self._bounds_lock = threading.Lock()
+
+    @classmethod
+    def from_shards(cls, config: ShardedIndexConfig,
+                    shards: list[STRGIndex],
+                    pivots: list[np.ndarray] | None = None
+                    ) -> "ShardedIndex":
+        """Wrap already-built (typically loaded) shards.
+
+        Shard sketches whose pivots are equal are made to share one
+        pivot list, so the exact scan evaluates each distinct fleet
+        once per query.
+        """
+        index = cls(config)
+        index.shards = list(shards)
+        index.metric_distance = index.shards[0].metric_distance
+        index.cluster_distance = index.shards[0].cluster_distance
+        index.pivots = pivots
+        fleets: dict[tuple, list[np.ndarray]] = {}
+        for shard in index.shards:
+            sketch = shard._sketches
+            if sketch is not None:
+                key = tuple((p.shape, p.tobytes()) for p in sketch.pivots)
+                sketch.pivots = fleets.setdefault(key, sketch.pivots)
+        return index
 
     # -- construction ---------------------------------------------------------
 
@@ -224,12 +209,14 @@ class ShardedIndex:
         with OBS.span("serving.shard_build", ogs=len(ogs),
                       shards=self.num_shards):
             assignment = self._place(ogs)
+            # Sketch first: each shard's build then appends its members'
+            # rows against the shared fleet.
+            self.shard_sketches(extra=ogs)
             for s in range(self.num_shards):
                 members = [og for og, a in zip(ogs, assignment) if a == s]
                 member_refs = [r for r, a in zip(refs, assignment) if a == s]
                 if members:
                     self.shards[s].build(members, background, member_refs)
-            self.refresh_bounds()
 
     def _place(self, ogs: Sequence[ObjectGraph]) -> list[int]:
         """Shard id per OG (fits affine pivots on the first build)."""
@@ -297,7 +284,7 @@ class ShardedIndex:
     def insert(self, og: ObjectGraph,
                background: BackgroundGraph | None = None,
                clip_ref: Any = None) -> None:
-        """Insert one OG into its shard (bounds go stale until refresh)."""
+        """Insert one OG into its shard (its sketch row comes along)."""
         self._check_mutable()
         if len(self) == 0 and self.pivots is None \
                 and self.config.placement == "affine":
@@ -340,91 +327,32 @@ class ShardedIndex:
                       if self.pivots is not None else None)
         dup.executor = self.executor
         dup.frozen = False
-        dup._bounds = None
-        dup._bounds_lock = threading.Lock()
         return dup
 
-    # -- scan caches ----------------------------------------------------------
+    # -- sketches -------------------------------------------------------------
 
-    def refresh_bounds(self) -> None:
-        """(Re)compute the per-cluster scan caches and pivot bounds.
+    def shard_sketches(self, extra: Sequence[ObjectGraph] = ()
+                       ) -> list[SketchIndex]:
+        """Every shard's sketch, all keyed against one shared fleet.
 
-        One batched sweep per shard and pivot keys every cluster
-        centroid and member against every shard pivot.  Hash placement
-        has no pivots and caches only series/keys (searches stay exact,
-        just without triangle filters).
+        A shard without a sketch — every shard before the first build,
+        or a store written before shards persisted their sketches — is
+        sketched against the fleet of the other shards.  When no shard
+        has one, the fleet is fitted once, on the corpus plus ``extra``,
+        under the sketch build lock.
         """
-        with self._bounds_lock:
-            previous = self._bounds or (None,) * self.num_shards
-            bounds: list[_ShardBounds | None] = []
-            for s, shard in enumerate(self.shards):
-                prior = previous[s] if s < len(previous) else None
-                if prior is not None and prior.mutations == shard.mutations:
-                    bounds.append(prior)
-                    continue
-                bounds.append(self._compute_shard_bounds(s))
-            self._bounds = tuple(bounds)
-
-    def _compute_shard_bounds(self, s: int) -> _ShardBounds:
-        shard = self.shards[s]
-        records = shard.cluster_records()
-        if not records:
-            return _ShardBounds(shard.mutations, {})
-        centroid_series = [np.asarray(r.centroid, dtype=np.float64)
-                           for r in records]
-        member_series = [[as_series(r.og) for r in record.leaf]
-                         for record in records]
-        centroid_pd = member_pd = None
-        if self.pivots is not None:
-            # One pivot-first sweep per pivot over every centroid and
-            # every member of the shard, split back per cluster.
-            flat = [srs for members in member_series for srs in members]
-            spans = []
-            start = 0
-            for members in member_series:
-                spans.append((start, start + len(members)))
-                start += len(members)
-            cpd_cols = []
-            mpd_cols = []
-            for pivot in self.pivots:
-                cpd_cols.append(one_vs_many(self.metric_distance, pivot,
-                                            centroid_series))
-                mpd_cols.append(
-                    one_vs_many(self.metric_distance, pivot, flat)
-                    if flat else np.empty(0)
-                )
-            centroid_pd = np.stack(cpd_cols, axis=1)
-            flat_pd = np.stack(mpd_cols, axis=1) if flat else \
-                np.empty((0, len(self.pivots)))
-            member_pd = [flat_pd[lo:hi] for lo, hi in spans]
-        by_record: dict[int, _ClusterCache] = {}
-        for i, record in enumerate(records):
-            by_record[id(record)] = _ClusterCache(
-                centroid_series=centroid_series[i],
-                member_series=member_series[i],
-                keys=np.asarray(record.leaf.keys, dtype=np.float64),
-                max_key=record.leaf.max_key(),
-                centroid_pd=(centroid_pd[i] if centroid_pd is not None
-                             else None),
-                member_pd=(member_pd[i] if member_pd is not None else None),
-            )
-        return _ShardBounds(shard.mutations, by_record)
-
-    def _fresh_bounds(self) -> tuple[_ShardBounds | None, ...]:
-        """Current scan caches; recompute stale shards first."""
-        bounds = self._bounds
-        if bounds is not None and len(bounds) == self.num_shards and all(
-            b is not None and b.mutations == shard.mutations
-            for b, shard in zip(bounds, self.shards)
-        ):
-            return bounds
-        self.refresh_bounds()
-        return self._bounds
-
-    def _slack(self, bound: float) -> float:
-        if not math.isfinite(bound):
-            return 0.0
-        return self.config.prune_slack * (1.0 + abs(bound))
+        if all(shard._sketches is not None for shard in self.shards):
+            return [shard._sketches for shard in self.shards]
+        with _SKETCH_BUILD_LOCK:
+            fleet = next((shard._sketches for shard in self.shards
+                          if shard._sketches is not None
+                          and shard._sketches.pivots), None)
+            if fleet is None:
+                corpus = [*self.object_graphs(), *extra]
+                fleet = SketchIndex.fit(
+                    self.metric_distance, [as_series(og) for og in corpus],
+                    self.shards[0].sketch_config)
+            return [shard.sketch_tier(fleet) for shard in self.shards]
 
     # -- search ---------------------------------------------------------------
 
@@ -449,11 +377,10 @@ class ShardedIndex:
 
         ``prune_bound`` is an externally-known upper bound on the k-th
         nearest distance (e.g. the k-th hit of another partition of the
-        same corpus).  It only tightens *pruning* — never which
-        evaluated candidates are kept — so any valid bound leaves the
-        result exact; it exists so distributed callers (the
-        ``serving.workers`` pool) can share one global bound across
-        partitions the way this index shares one bound across shards.
+        same corpus).  It seeds the exact scan's pruning limit — never
+        which evaluated candidates are kept — so any valid bound leaves
+        the result exact; distributed callers (the ``serving.workers``
+        pool) use it to share one global bound across partitions.
         """
         return self._search_knn(query, k, background, degrade=False,
                                 search_budget=search_budget,
@@ -500,23 +427,21 @@ class ShardedIndex:
                 result = self._approx_scatter(query, k, background,
                                               search_budget, degrade)
             else:
-                result = self._scatter_gather(query, k, background, degrade,
-                                              prune_bound)
+                OBS.count("search.knn_queries")
+                result = self._scan(
+                    query, k, math.inf if prune_bound is None
+                    else float(prune_bound), background, degrade)
             sp.set(hits=len(result.hits), degraded=result.degraded)
             return result
 
-    def _approx_scatter(self, query, k: int,
-                        background: BackgroundGraph | None,
-                        search_budget: int, degrade: bool
-                        ) -> ShardedSearchResult:
-        """Budgeted scatter: each shard searches its own sketch tier.
+    def _live_shards(self, degrade: bool) -> tuple[list[int], list[int]]:
+        """``(live, failed)`` ordinals of the non-empty shards.
 
-        The budget is divided proportionally to shard sizes so a shard
-        holding half the corpus gets half the evaluations; every live
-        shard gets at least ``k`` so it can always fill a top-k list.
+        The shard fault-injection point fires here, before any kernel
+        work: a failed shard contributes no rows and the search degrades
+        to partial results (or raises, on the strict path).
         """
-        total = len(self)
-        hits: list[tuple[float, ObjectGraph, Any]] = []
+        live: list[int] = []
         failed: list[int] = []
         for s, shard in enumerate(self.shards):
             if len(shard) == 0:
@@ -529,218 +454,71 @@ class ShardedIndex:
                 OBS.count("serving.shards_failed")
                 failed.append(s)
                 continue
+            live.append(s)
+        return live, failed
+
+    def _approx_scatter(self, query, k: int,
+                        background: BackgroundGraph | None,
+                        search_budget: int, degrade: bool
+                        ) -> ShardedSearchResult:
+        """Budgeted scatter: each shard searches its own sketch.
+
+        The budget is divided proportionally to shard sizes so a shard
+        holding half the corpus gets half the evaluations; every live
+        shard gets at least ``k`` so it can always fill a top-k list.
+        """
+        self.shard_sketches()
+        total = len(self)
+        live, failed = self._live_shards(degrade)
+        hits: list[tuple[float, ObjectGraph, Any]] = []
+        for s in live:
+            shard = self.shards[s]
             share = max(k, math.ceil(search_budget * len(shard) / total))
             hits.extend(shard.knn(query, k, background,
                                   search_budget=share))
         hits.sort(key=lambda h: (h[0], h[1].og_id))
         return ShardedSearchResult(hits[:k], bool(failed), failed)
 
-    def _gather(self, background: BackgroundGraph | None, degrade: bool
-                ) -> tuple[list[tuple[ClusterRecord, _ClusterCache]],
-                           list[int]]:
-        """Collect ``(cluster_record, scan_cache)`` pairs from live shards.
+    def _scan(self, query, k: int | None, bound: float,
+              background: BackgroundGraph | None, degrade: bool
+              ) -> ShardedSearchResult:
+        """The exact scan: top-``k``, or everything within ``bound``.
 
-        The shard fault-injection point fires here, before any kernel
-        work: a failed shard contributes no clusters and the search
-        degrades to partial results (or raises, on the strict path).
+        Every live row of every live shard gets its triangle lower bound
+        from the query's distances to its shard's fleet (evaluated once
+        per distinct fleet), and the rerank kernel takes them all in
+        ``(bound, og_id)`` order.
         """
-        bounds = self._fresh_bounds()
-        clusters: list[tuple[ClusterRecord, _ClusterCache]] = []
-        failed: list[int] = []
-        for s, shard in enumerate(self.shards):
-            if len(shard) == 0:
-                continue
-            try:
-                maybe_fail("serving.shard", shard=s)
-            except ShardUnavailableError:
-                if not degrade:
-                    raise
-                OBS.count("serving.shards_failed")
-                failed.append(s)
-                continue
-            sb = bounds[s]
-            for record in shard.cluster_records(background):
-                if len(record.leaf) == 0:
-                    continue
-                cache = sb.by_record.get(id(record)) if sb is not None \
-                    else None
-                if cache is None:
-                    # A record the cache pass missed (mutated mid-gather
-                    # on an unsynchronized writer): scan it uncached.
-                    cache = self._uncached(record)
-                clusters.append((record, cache))
-        return clusters, failed
-
-    def _uncached(self, record: ClusterRecord) -> _ClusterCache:
-        return _ClusterCache(
-            centroid_series=np.asarray(record.centroid, dtype=np.float64),
-            member_series=[as_series(r.og) for r in record.leaf],
-            keys=np.asarray(record.leaf.keys, dtype=np.float64),
-            max_key=record.leaf.max_key(),
-            centroid_pd=None,
-            member_pd=None,
-        )
-
-    def _rank(self, series: np.ndarray, clusters: list
-              ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Query distances to every centroid and pivot, in one sweep.
-
-        Returns ``(key_qs, pivot_qs)``.  Pivots piggyback on the cluster
-        ranking batch so the whole scatter pays a single fixed kernel
-        invocation.  Metrics without a batch kernel fall back to per-pair
-        calls in ``(query, centroid)`` order (keeps counting wrappers'
-        bookkeeping deterministic); pivots are skipped on that path.
-        """
-        centroids = [cache.centroid_series for _, cache in clusters]
-        if not supports_batch(self.metric_distance):
-            key_qs = np.array(
-                [float(self.metric_distance(series, c)) for c in centroids],
-                dtype=np.float64,
-            )
-            return key_qs, None
-        if self.pivots is not None:
-            # The pivot fleet may be larger than num_shards: a partition
-            # of the corpus (serving.workers) keeps every corpus pivot
-            # for pruning even when it serves a subset of the shards.
-            n_pivots = len(self.pivots)
-            batch = one_vs_many(self.metric_distance, series,
-                                list(self.pivots) + centroids)
-            return batch[n_pivots:], batch[:n_pivots]
-        return one_vs_many(self.metric_distance, series, centroids), None
-
-    def _scatter_gather(self, query, k: int,
-                        background: BackgroundGraph | None,
-                        degrade: bool,
-                        prune_bound: float | None = None
-                        ) -> ShardedSearchResult:
         series = as_series(query)
-        clusters, failed = self._gather(background, degrade)
-        if not clusters:
+        sketches = self.shard_sketches()
+        live, failed = self._live_shards(degrade)
+        fleets: dict[int, np.ndarray] = {}
+        parts = []
+        for s in live:
+            sketch = sketches[s]
+            qd = fleets.get(id(sketch.pivots))
+            if qd is None:
+                qd = fleets[id(sketch.pivots)] = np.asarray(
+                    one_vs_many(self.metric_distance, series, sketch.pivots),
+                    dtype=np.float64)
+            rows, lbs = sketch.lower_bounds(qd)
+            ids = sketch.row_og_ids(rows)
+            routed = _routed_og_ids(self.shards[s], background)
+            if routed is not None:
+                keep = np.isin(ids, routed)
+                rows, lbs, ids = rows[keep], lbs[keep], ids[keep]
+            parts.append((np.full(len(rows), s), rows, lbs, ids))
+        if not parts:
             return ShardedSearchResult([], bool(failed), failed)
-        key_qs, pivot_qs = self._rank(series, clusters)
-
-        best: list[tuple[float, ObjectGraph, Any]] = []
-        external = float("inf") if prune_bound is None else float(prune_bound)
-
-        def kth() -> tuple[float, float]:
-            if len(best) == k:
-                return (best[-1][0], best[-1][1].og_id)
-            return (float("inf"), float("inf"))
-
-        def cut() -> float:
-            # Pruning-only bound: the local kth candidate, tightened by
-            # any caller-supplied global bound.  Candidates are only ever
-            # *pruned* against it (strictly, beyond the slack), so ties
-            # at the bound survive and the result stays exact for any
-            # valid upper bound on the true kth distance.
-            return min(kth()[0], external)
-
-        def flush(pending: list[tuple[float, LeafRecord, np.ndarray]]) -> None:
-            # Evaluate pending candidates best-first in ``eval_batch``
-            # chunks, re-checking each survivor's stored lower bound
-            # against the bound as it tightens — candidates windowed
-            # under an older, looser bound are dropped without ever
-            # paying the kernel for them.
-            pending.sort(key=lambda c: c[0])
-            start = 0
-            while start < len(pending):
-                bound = cut()
-                slack = self._slack(bound)
-                stop = start
-                end = min(len(pending), start + self.config.eval_batch)
-                while stop < end and pending[stop][0] <= bound + slack:
-                    stop += 1
-                if stop == start:
-                    # Sorted by lower bound: everything further is
-                    # provably outside the current kth distance.
-                    OBS.count("serving.candidates_requeued_pruned",
-                              len(pending) - start)
-                    break
-                chunk = pending[start:stop]
-                items = [srs for _, _, srs in chunk]
-                if self.executor is not None:
-                    dists = self.executor.one_vs_many(self.metric_distance,
-                                                      series, items)
-                else:
-                    dists = one_vs_many(self.metric_distance, series, items)
-                OBS.count("serving.candidates_evaluated", len(chunk))
-                for (_, rec, _), d in zip(chunk, dists):
-                    d = float(d)
-                    if (d, rec.og.og_id) < kth():
-                        _insort(best, (d, rec.og, rec.clip_ref))
-                        if len(best) > k:
-                            best.pop()
-                start = stop
-            pending.clear()
-
-        # Scan leaves in global key order: the nearest cluster anywhere
-        # in the fleet seeds the bound, and every later window is cut by
-        # it — one shared bound across all shards, exactly as the
-        # monolithic index shares one bound across its clusters.
-        # Candidates accumulate across clusters and are evaluated in
-        # ``eval_batch``-sized kernel flushes.
-        order = np.argsort(key_qs, kind="stable")
-        pending: list[tuple[float, LeafRecord, np.ndarray]] = []
-        for i in order:
-            if len(pending) >= self.config.eval_batch:
-                flush(pending)
-            record, cache = clusters[int(i)]
-            key_q = float(key_qs[int(i)])
-            bound = cut()
-            slack = self._slack(bound)
-            if key_q - cache.max_key > bound + slack:
-                OBS.count("serving.clusters_pruned")
-                continue
-            if pivot_qs is not None and cache.centroid_pd is not None:
-                # Triangle bound via the pivot fleet: every member o of
-                # this cluster has d(q, o) >= |d(q,P) - d(P,c)| - max_key
-                # for each pivot P; take the tightest.
-                lb = float(np.max(np.abs(pivot_qs - cache.centroid_pd))) \
-                    - cache.max_key
-                if lb > bound + slack:
-                    OBS.count("serving.clusters_pruned")
-                    continue
-            self._window(record, cache, key_q, pivot_qs, bound, slack,
-                         pending)
-        flush(pending)
-        return ShardedSearchResult(best, bool(failed), failed)
-
-    def _window(self, record: ClusterRecord, cache: _ClusterCache,
-                key_q: float, pivot_qs: np.ndarray | None, bound: float,
-                slack: float, pending: list) -> None:
-        """Append this leaf's surviving candidates to ``pending``.
-
-        Survivors pass every available 1-D metric projection: the stored
-        centroid key (``|key - key_q| <= bound``) and, under affine
-        placement, the key to *each* shard pivot.  Each candidate is
-        queued with its tightest lower bound so a later flush can
-        re-check it against the bound current *then*.
-        """
-        OBS.count("serving.leaf_scans")
-        keys = cache.keys
-        if math.isinf(bound):
-            idx = np.arange(len(keys))
-        else:
-            lo = int(np.searchsorted(keys, key_q - bound - slack,
-                                     side="left"))
-            hi = int(np.searchsorted(keys, key_q + bound + slack,
-                                     side="right"))
-            idx = np.arange(lo, hi)
-        if len(idx) == 0:
-            return
-        lbs = np.abs(keys[idx] - key_q)
-        if pivot_qs is not None and cache.member_pd is not None:
-            gaps = np.abs(cache.member_pd[idx] - pivot_qs).max(axis=1)
-            if not math.isinf(bound):
-                keep = gaps <= bound + slack
-                idx, lbs, gaps = idx[keep], lbs[keep], gaps[keep]
-            lbs = np.maximum(lbs, gaps)
-        records = record.leaf.records
-        members = cache.member_series
-        pending.extend(
-            (float(lb), records[int(i)], members[int(i)])
-            for lb, i in zip(lbs, idx)
-        )
+        shard_of, rows, lbs, ids = (np.concatenate(c) for c in zip(*parts))
+        hits, evaluated = pruned_rerank(
+            self.metric_distance, series, lbs, ids,
+            lambda i: sketches[shard_of[i]].row_record(rows[i]),
+            k=k, bound=bound, executor=self.executor,
+            batch=sketches[live[0]].config.rerank_batch)
+        count_search(len(self), len(lbs), evaluated,
+                     sum(len(qd) for qd in fleets.values()))
+        return ShardedSearchResult(hits, bool(failed), failed)
 
     def range_query(self, query, radius: float,
                     background: BackgroundGraph | None = None
@@ -763,42 +541,11 @@ class ShardedIndex:
         if len(self) == 0:
             raise IndexStateError("cannot search an empty sharded index")
         with OBS.span("serving.range_query", radius=radius) as sp:
-            series = as_series(query)
-            clusters, failed = self._gather(background, degrade)
-            hits: list[tuple[float, ObjectGraph, Any]] = []
-            if clusters:
-                key_qs, pivot_qs = self._rank(series, clusters)
-                slack = self._slack(radius)
-                pending: list[tuple[float, LeafRecord, np.ndarray]] = []
-                for (record, cache), key_q in zip(clusters, key_qs):
-                    key_q = float(key_q)
-                    if key_q - cache.max_key > radius + slack:
-                        OBS.count("serving.clusters_pruned")
-                        continue
-                    if pivot_qs is not None \
-                            and cache.centroid_pd is not None:
-                        lb = float(np.max(np.abs(
-                            pivot_qs - cache.centroid_pd))) - cache.max_key
-                        if lb > radius + slack:
-                            OBS.count("serving.clusters_pruned")
-                            continue
-                    self._window(record, cache, key_q, pivot_qs, radius,
-                                 slack, pending)
-                if pending:
-                    items = [srs for _, _, srs in pending]
-                    if self.executor is not None:
-                        dists = self.executor.one_vs_many(
-                            self.metric_distance, series, items)
-                    else:
-                        dists = one_vs_many(self.metric_distance, series,
-                                            items)
-                    OBS.count("serving.candidates_evaluated", len(pending))
-                    for (_, rec, _), d in zip(pending, dists):
-                        if float(d) <= radius:
-                            hits.append((float(d), rec.og, rec.clip_ref))
-            hits.sort(key=lambda h: (h[0], h[1].og_id))
-            sp.set(hits=len(hits), degraded=bool(failed))
-            return ShardedSearchResult(hits, bool(failed), failed)
+            result = self._scan(query, None, float(radius), background,
+                                degrade)
+            result.hits = [h for h in result.hits if h[0] <= radius]
+            sp.set(hits=len(result.hits), degraded=result.degraded)
+            return result
 
     # -- persistence ----------------------------------------------------------
 
@@ -850,14 +597,19 @@ class ShardedIndex:
         )
 
 
-def _insort(best: list, entry: tuple) -> None:
-    """Insert ``entry`` into ``best`` ordered by ``(distance, og_id)``."""
-    key = (entry[0], entry[1].og_id)
-    lo, hi = 0, len(best)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (best[mid][0], best[mid][1].og_id) < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    best.insert(lo, entry)
+
+def _routed_og_ids(shard: STRGIndex, background: BackgroundGraph | None
+                   ) -> np.ndarray | None:
+    """og_ids of the shard's rows that ``background`` routes to.
+
+    ``None`` when routing keeps every row (no background, or a match
+    that selects every root) — the same routing ``STRGIndex.knn``
+    applies at its root level.
+    """
+    if background is None:
+        return None
+    records = shard.cluster_records(background)
+    if len(records) == shard.num_clusters():
+        return None
+    return np.fromiter((r.og.og_id for record in records
+                        for r in record.leaf), dtype=np.int64)

@@ -30,7 +30,7 @@ from repro.errors import InvalidParameterError, StorageError
 from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
-from repro.serving.sharding import ShardedIndex, ShardedSearchResult
+from repro.serving.sharding import ShardedSearchResult
 
 logger = logging.getLogger(__name__)
 
@@ -310,8 +310,6 @@ class LiveIndex:
                                        write.clip_ref)
                     else:
                         working.delete(write.og_id)
-                if isinstance(working, ShardedIndex):
-                    working.refresh_bounds()
                 working.freeze()
                 published = IndexSnapshot(previous.version + 1, working)
                 self._snapshot = published

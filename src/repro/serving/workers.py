@@ -17,10 +17,10 @@ well under 4x.  This module promotes shards to worker processes:
   shutdown.
 
 Exactness.  Each worker serves its assigned shards through a
-worker-local :class:`~repro.serving.sharding.ShardedIndex` (one shared
-pruning bound, ``eval_batch``-sized kernel flushes), and the
+worker-local :class:`~repro.serving.sharding.ShardedIndex` (one
+bound-ordered scan over the shards' persisted sketches), and the
 coordinator merges the per-worker exact top-k lists by ``(distance,
-shard, row)``.  That reproduces the in-process scatter-gather
+shard, row)``.  That reproduces the in-process sharded search
 **bit-identically**: distances come from the same batched kernels
 (chunk-invariant), and shards are opened in ascending ordinal order so
 every tie-break — worker-local og_id and the coordinator merge — is
@@ -58,7 +58,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -93,11 +93,11 @@ class _ShardSet:
 
     Exact requests that cover every (non-empty) open shard run through
     one worker-local :class:`~repro.serving.sharding.ShardedIndex`
-    assembled over exactly those shards.  Its scatter-gather shares one
-    global pruning bound and flushes candidates through
-    ``eval_batch``-sized kernel calls — an order of magnitude faster
-    than looping ``STRGIndex.knn`` per shard, whose leaf scan evaluates
-    candidates one kernel call at a time.
+    assembled over exactly those shards: one bound-ordered scan over
+    the sketch tables the shards' stores persist (nothing is recomputed
+    at warm-up) — an order of magnitude faster than looping
+    ``STRGIndex.knn`` per shard, whose leaf scan evaluates candidates
+    one kernel call at a time.
 
     Exactness is preserved: shards are (re)opened in ascending ordinal
     order, so worker-local og_ids are minted in ``(ordinal, row)``
@@ -122,17 +122,12 @@ class _ShardSet:
         self._combined: Any = None
         self._fast: frozenset[int] = frozenset()
         self._loc: dict[int, tuple[int, int]] = {}
-        self._serving: dict[str, Any] | None = None
-        self._pivots: list[np.ndarray] | None = None
         self.reload()
 
     # -- lifecycle ------------------------------------------------------
 
     def reload(self) -> None:
         """(Re)open every assigned shard, ascending ordinal order."""
-        self._serving = None
-        self._pivots = None
-        self._read_root()
         self.shards = {
             o: _open_shard(self.store_path, self.rels[o], self.mmap)
             for o in sorted(self.rels)
@@ -160,28 +155,6 @@ class _ShardSet:
 
     # -- combined-index assembly ----------------------------------------
 
-    def _read_root(self) -> None:
-        """Pick up serving config + shard pivots from the root manifest."""
-        from repro.storage.columnar import ColumnarStore, _unpack_ragged
-
-        manifest = ColumnarStore(self.store_path, normalize=False).manifest()
-        if manifest.get("kind") != "sharded":
-            return
-        self._serving = dict(manifest["serving_config"])
-        if not manifest.get("has_pivots"):
-            return
-        try:
-            values = np.load(
-                os.path.join(self.store_path, "pivot_values.npy"),
-                allow_pickle=False)
-            offsets = np.load(
-                os.path.join(self.store_path, "pivot_offsets.npy"),
-                allow_pickle=False)
-            self._pivots = [np.asarray(p, dtype=np.float64)
-                            for p in _unpack_ragged(values, offsets)]
-        except (OSError, ValueError, EOFError):
-            self._pivots = None  # pivots only prune; never required
-
     def _refresh(self) -> None:
         ordered = sorted(self.shards)
         self._loc = {
@@ -197,20 +170,9 @@ class _ShardSet:
         from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
 
         indexes = [self.shards[o][0] for o in ordinals]
-        params = dict(self._serving or {})
-        params["num_shards"] = len(indexes)
-        config = ShardedIndexConfig(index=indexes[0].config, **params)
-        combined = ShardedIndex(config)
-        combined.shards = indexes
-        combined.metric_distance = indexes[0].metric_distance
-        combined.cluster_distance = indexes[0].cluster_distance
-        if self._pivots is not None:
-            # The FULL corpus pivot fleet, not just the assigned shards'
-            # pivots: pivots only serve triangle pruning, and more
-            # reference points mean tighter bounds — a subset worker
-            # prunes as hard as the whole in-process index would.
-            combined.pivots = list(self._pivots)
-        combined.refresh_bounds()
+        combined = ShardedIndex.from_shards(
+            ShardedIndexConfig(num_shards=len(indexes),
+                               index=indexes[0].config), indexes)
         combined.frozen = True
         return combined
 
@@ -229,6 +191,10 @@ class _ShardSet:
                 f"shard(s) {missing} are not assigned to this worker",
                 details={"shards": missing, "assigned": sorted(self.shards)})
         live = [o for o in requested if len(self.shards[o][0]) > 0]
+        if self._combined is not None:
+            # Stores written without shard sketches get one shared
+            # fleet here, as the in-process index fits it.
+            self._combined.shard_sketches()
         if (shares is None and self._combined is not None
                 and frozenset(live) == self._fast):
             return self._search_combined(op, query, arg, requested, live,

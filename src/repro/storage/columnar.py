@@ -519,16 +519,7 @@ class ColumnarStore:
             "kind": _KIND_SHARDED,
             "num_shards": len(index.shards),
             "has_pivots": index.pivots is not None,
-            "serving_config": {
-                "num_shards": config.num_shards,
-                "placement": config.placement,
-                "coarse_sample_size": config.coarse_sample_size,
-                "coarse_iterations": config.coarse_iterations,
-                "balance_factor": config.balance_factor,
-                "seed": config.seed,
-                "eval_batch": config.eval_batch,
-                "prune_slack": config.prune_slack,
-            },
+            "serving_config": config.to_dict(),
             "shards": shard_names,
             "files": files,
         }, "storage.write")
@@ -682,27 +673,19 @@ class ColumnarStore:
             pivot_offsets = np.load(
                 os.path.join(self.path, "pivot_offsets.npy"),
                 allow_pickle=False)
-            config = ShardedIndexConfig(index=shards[0].config,
-                                        **manifest["serving_config"])
+            config = ShardedIndexConfig.from_dict(manifest["serving_config"],
+                                                  shards[0].config)
         except (OSError, ValueError, EOFError, TypeError, KeyError) as exc:
             raise IndexCorruptionError(
                 f"cannot read sharded store {self.path}: {exc}",
                 details={"path": self.path, "cause": type(exc).__name__},
             ) from exc
-        index = ShardedIndex(config)
-        index.shards = shards
-        index.metric_distance = shards[0].metric_distance
-        index.cluster_distance = shards[0].cluster_distance
+        pivots = None
         if manifest["has_pivots"]:
-            index.pivots = [
-                np.asarray(p, dtype=np.float64)
-                for p in _unpack_ragged(pivot_values, pivot_offsets)
-            ]
-        else:
-            index.pivots = None
-        index.refresh_bounds()
+            pivots = [np.asarray(p, dtype=np.float64)
+                      for p in _unpack_ragged(pivot_values, pivot_offsets)]
         self._reset_rows()
-        return index
+        return ShardedIndex.from_shards(config, shards, pivots)
 
     # -- row-addressed reads + out-of-core sketch --------------------------
 

@@ -97,8 +97,6 @@ class TestShardedIndexBasics:
             ShardedIndexConfig(num_shards=0)
         with pytest.raises(InvalidParameterError):
             ShardedIndexConfig(placement="mystery")
-        with pytest.raises(InvalidParameterError):
-            ShardedIndexConfig(eval_batch=0)
 
     def test_invalid_queries(self, sharded):
         # k=0 is a legal no-op (see docs/SEARCH.md); negative k is not.
@@ -117,7 +115,6 @@ class TestShardedIndexBasics:
         index = _sharded(corpus[:32], 2, "hash")
         extra = corpus[32]
         index.insert(extra)
-        index.refresh_bounds()
         assert len(index) == 33
         hits = index.knn(extra, 1)
         assert hits[0][1].og_id == extra.og_id
